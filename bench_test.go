@@ -1,10 +1,12 @@
 package polystore
 
-// The benchmark harness: one testing.B benchmark per experiment of
-// DESIGN.md §3 (every figure scenario and quantitative claim of the paper).
-// Each benchmark regenerates its experiment table; `go test -bench=.`
-// therefore reproduces the full evaluation. cmd/polybench prints the same
-// tables for human reading; EXPERIMENTS.md records paper-vs-measured.
+// The benchmark harness: one testing.B benchmark per reproduction
+// experiment E1–E15 of internal/experiments (every figure scenario and
+// quantitative claim of the paper; see docs/architecture.md). Each
+// benchmark regenerates its experiment table; `go test -bench=.` therefore
+// reproduces the full evaluation. cmd/polybench prints the same tables for
+// human reading; TestE01…TestE15 in internal/experiments/experiments_test.go
+// check each measured table against the paper's claim.
 
 import (
 	"testing"

@@ -1,5 +1,5 @@
-// Command polybench regenerates the reproduction experiments E1–E15 of
-// DESIGN.md and prints their tables. With -loadgen it instead drives a
+// Command polybench regenerates the reproduction experiments E1–E15 (see
+// docs/architecture.md) and prints their tables. With -loadgen it instead drives a
 // running polyserve instance with N concurrent clients and reports serving
 // throughput and latency percentiles — the serving-path benchmark.
 //
@@ -70,7 +70,7 @@ func (b *bodyList) Set(v string) error {
 func usage() {
 	fmt.Fprintf(flag.CommandLine.Output(), `polybench — Polystore++ reproduction experiments and serving load generator
 
-Default mode runs the DESIGN.md experiment suite (E1..E15). With -loadgen it
+Default mode runs the reproduction experiment suite (E1..E15). With -loadgen it
 drives a running polyserve over HTTP with concurrent clients and reports
 throughput plus latency percentiles.
 

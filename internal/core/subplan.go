@@ -8,6 +8,7 @@ import (
 	"polystorepp/internal/adapter"
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/ir"
+	"polystorepp/internal/lru"
 	"polystorepp/internal/obs"
 	"polystorepp/internal/subplan"
 	"polystorepp/internal/tenant"
@@ -36,8 +37,8 @@ const DefaultSubplanCacheBytes int64 = 64 << 20
 // execution captures the state once at prepare time and uses that capture
 // throughout, so a swap mid-flight never strands a lease.
 type subplanState struct {
-	cache  *subplan.Cache
-	flight *subplan.Flight
+	cache  *lru.TenantCostCache[*subplan.Entry]
+	flight *subplan.Flight[struct{}]
 }
 
 // WithSubplanCacheBytes sizes the runtime's subplan cache: 0 keeps the
@@ -56,7 +57,7 @@ func (r *Runtime) ConfigureSubplanCache(n int64) {
 }
 
 // ConfigureSubplanCacheShared is ConfigureSubplanCache with an explicit
-// per-tenant byte share (see subplan.NewCacheShared).
+// per-tenant byte share (see subplan.NewCache).
 func (r *Runtime) ConfigureSubplanCacheShared(n int64, share float64) {
 	if n < 0 {
 		r.subplan.Store(nil)
@@ -65,17 +66,14 @@ func (r *Runtime) ConfigureSubplanCacheShared(n int64, share float64) {
 	if n == 0 {
 		n = DefaultSubplanCacheBytes
 	}
-	r.subplan.Store(&subplanState{cache: subplan.NewCacheShared(n, share), flight: subplan.NewFlight()})
+	r.subplan.Store(&subplanState{cache: subplan.NewCache(n, share), flight: subplan.NewFlight[struct{}]()})
 }
 
-// SubplanCacheStats is the structural snapshot /stats and /metrics expose.
+// SubplanCacheStats is the structural snapshot /stats and /metrics expose;
+// Cost and MaxCost are in bytes.
 type SubplanCacheStats struct {
-	Enabled   bool
-	Entries   int
-	Bytes     int64
-	MaxBytes  int64
-	Evictions int64
-	Owners    int
+	Enabled bool
+	lru.Stats
 }
 
 // SubplanCacheStats snapshots the subplan cache (zero value when disabled).
@@ -84,15 +82,7 @@ func (r *Runtime) SubplanCacheStats() SubplanCacheStats {
 	if sp == nil {
 		return SubplanCacheStats{}
 	}
-	s := sp.cache.Stats()
-	return SubplanCacheStats{
-		Enabled:   true,
-		Entries:   s.Entries,
-		Bytes:     s.Bytes,
-		MaxBytes:  s.MaxBytes,
-		Evictions: s.Evictions,
-		Owners:    s.Owners,
-	}
+	return SubplanCacheStats{Enabled: true, Stats: sp.cache.Stats()}
 }
 
 // SubplanOwnerBytes snapshots per-tenant subplan cache charges (nil when
@@ -102,7 +92,7 @@ func (r *Runtime) SubplanOwnerBytes() map[string]int64 {
 	if sp == nil {
 		return nil
 	}
-	return sp.cache.OwnerBytes()
+	return sp.cache.OwnerCosts()
 }
 
 // pendingPub is one subtree this execution will publish when its root's
@@ -215,18 +205,15 @@ func (r *Runtime) prepareSubplan(ctx context.Context, plan *compiler.Plan) *plan
 		}
 		const attempts = 3
 		for i := 0; i < attempts; i++ {
-			leader, done := sp.flight.Acquire(m.key)
+			lease, leader := sp.flight.Acquire(m.key)
 			if leader {
 				pr.leases = append(pr.leases, m.key)
 				leased[m.key] = true
 				break
 			}
 			r.reg.Counter("core.subplan.flight_waits").Inc()
-			select {
-			case <-done:
-			case <-ctx.Done():
-				i = attempts // deadline: run the subtree ourselves
-				continue
+			if _, err := lease.Wait(ctx); err != nil {
+				break // deadline: run the subtree ourselves
 			}
 			if e := pr.lookup(m.key, len(m.sub.Closure)); e != nil {
 				pr.admitHit(m.sub, e, covered)
@@ -404,7 +391,7 @@ func (pr *planProbe) publish(pub pendingPub) {
 		Costs:  costs,
 		Bytes:  root.out.Batch.ByteSize(),
 	}
-	if pr.sp.cache.Put(pub.key, e, pr.tenant) {
+	if _, ok := pr.sp.cache.Put(pub.key, e, e.Cost(), pr.tenant); ok {
 		pr.rt.reg.Counter("core.subplan.published").Inc()
 	} else {
 		pr.rt.reg.Counter("core.subplan.bypassed").Inc()
@@ -419,7 +406,7 @@ func (pr *planProbe) close() {
 		return
 	}
 	for _, k := range pr.leases {
-		pr.sp.flight.Release(k)
+		pr.sp.flight.Release(k, struct{}{}, nil)
 	}
 	pr.leases = nil
 }

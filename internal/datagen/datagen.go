@@ -6,7 +6,8 @@
 // in the timeseries store), and a Snorkel-style unlabeled corpus
 // (Figure 3). The real MIMIC data is access-restricted; the generator
 // reproduces the join keys, cardinality ratios and feature/label
-// correlations the experiments exercise (see DESIGN.md §1).
+// correlations the experiments exercise (see docs/architecture.md and
+// TestE01…TestE15 in internal/experiments/experiments_test.go).
 package datagen
 
 import (

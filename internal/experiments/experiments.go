@@ -1,7 +1,8 @@
-// Package experiments implements the reproduction experiments E1–E15 of
-// DESIGN.md: one per figure scenario and per quantitative claim of the
-// paper. Each experiment returns a Table that cmd/polybench prints and
-// bench_test.go measures; EXPERIMENTS.md records paper-vs-measured.
+// Package experiments implements the reproduction experiments E1–E15 (see
+// docs/architecture.md): one per figure scenario and per quantitative claim
+// of the paper. Each experiment returns a Table that cmd/polybench prints
+// and bench_test.go measures; TestE01…TestE15 in experiments_test.go check
+// each measured table against the paper's claim.
 package experiments
 
 import (

@@ -1,6 +1,8 @@
-// Package lru provides the bounded least-recently-used map backing the
-// serving layer's plan and result caches, so eviction and recency logic
-// lives in one place.
+// Package lru provides the bounded least-recently-used maps backing the
+// serving layer's caches, so eviction and recency logic lives in one place:
+// Cache, an entry-bounded map for compiled plans, and TenantCostCache, the
+// cost-bounded, tenant-charged memo substrate under both the result cache
+// and the subplan cache.
 package lru
 
 import "container/list"

@@ -28,10 +28,12 @@ func TestAdmissionRejectsBeyondLimit(t *testing.T) {
 	queued := make(chan error, 1)
 	go func() {
 		err := a.acquire(ctx, anonFlow, 0)
-		queued <- err
+		// Release before reporting, so the main goroutine's final inflight()
+		// read cannot land between the two.
 		if err == nil {
 			a.release()
 		}
+		queued <- err
 	}()
 	// Wait until the queued request is counted.
 	for i := 0; a.inflight() < 2 && i < 1000; i++ {

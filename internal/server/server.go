@@ -18,10 +18,12 @@
 //     unchanged data skip execution entirely, a mutation of touched data
 //     rotates the vector so stale results stop being addressable, and
 //     writes to untouched stores leave cached results valid (surgical
-//     invalidation; resultcache.go). Admission is byte-bounded with an
-//     oversized-entry bypass.
+//     invalidation). Admission is byte-bounded with an oversized-entry
+//     bypass, and bytes are charged per tenant.
 //   - Single-flight: identical queries in flight at the same time share one
-//     execution; only the leader holds a worker slot (singleflight.go).
+//     execution; only the leader holds a worker slot and hands its outcome
+//     to the followers. Like the runtime's subplan tier, these two sit on
+//     an lru.TenantCostCache and a subplan.Flight lease (memo.go).
 //   - Observability: /metrics exposes the runtime-statistics registry in
 //     Prometheus text format; /healthz and /stats report liveness and
 //     serving counters.
@@ -64,6 +66,7 @@ import (
 	"polystorepp/internal/obs"
 	"polystorepp/internal/partition"
 	"polystorepp/internal/resilience"
+	"polystorepp/internal/subplan"
 	"polystorepp/internal/tenant"
 )
 
@@ -226,8 +229,8 @@ type Server struct {
 	opts    compiler.Options
 	cfg     Config
 	cache   *compiler.PlanCache
-	results *resultCache // nil when disabled
-	flight  *flightGroup // nil when disabled
+	results *lru.TenantCostCache[resultEntry] // nil when disabled (memo.go)
+	flight  *subplan.Flight[queryOutcome]     // nil when disabled
 	adm     *admission
 	tenants *tenantControl
 	nl      *eide.NLTranslator
@@ -264,7 +267,7 @@ func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 	}
 	s.tenants = newTenantControl(cfg)
 	if cfg.ResultCacheSize > 0 {
-		s.results = newResultCache(cfg.ResultCacheSize, cfg.ResultCacheBytes, cfg.TenantCacheShare)
+		s.results = lru.NewTenantCost[resultEntry](cfg.ResultCacheSize, cfg.ResultCacheBytes, cfg.TenantCacheShare)
 	}
 	if cfg.SubplanCacheBytes != 0 {
 		rt.ConfigureSubplanCacheShared(cfg.SubplanCacheBytes, cfg.TenantCacheShare)
@@ -275,7 +278,7 @@ func New(rt *core.Runtime, opts compiler.Options, cfg Config) *Server {
 		rt.ConfigureFeedback(feedback.Config{})
 	}
 	if !cfg.DisableSingleFlight {
-		s.flight = newFlightGroup()
+		s.flight = subplan.NewFlight[queryOutcome]()
 	}
 	if cfg.NL.enabled() {
 		s.nl = eide.NewNLTranslator(cfg.NL.Relational, cfg.NL.Timeseries, cfg.NL.Text, cfg.NL.ML)
@@ -355,7 +358,7 @@ func (s *Server) ResultCacheStats() (hits, misses int64, size int) {
 	}
 	return s.reg.Counter("server.resultcache.hits").Value(),
 		s.reg.Counter("server.resultcache.misses").Value(),
-		s.results.size()
+		s.results.Len()
 }
 
 // QueryRequest is the POST /query body.
@@ -714,24 +717,20 @@ func (s *Server) touchesFor(planKey string, g *ir.Graph) compiler.Touches {
 func (s *Server) runQuery(ctx context.Context, p *preparedQuery, sink core.ResultSink) (queryOutcome, error) {
 	tr := obs.From(ctx)
 	if s.results != nil {
-		if res, rep, ok := s.results.get(p.resKey); ok {
+		if e, ok := s.results.Get(p.resKey); ok {
 			s.reg.Counter("server.resultcache.hits").Inc()
 			tr.Event("cache.result", "hit")
-			return queryOutcome{res: res, rep: rep, planHit: true, resultHit: true}, nil
+			return queryOutcome{res: e.res, rep: e.rep, planHit: true, resultHit: true}, nil
 		}
 		s.reg.Counter("server.resultcache.misses").Inc()
 		tr.Event("cache.result", "miss")
 	}
 	if s.flight == nil {
-		res, rep, planHit, err := s.executeOnce(ctx, p, sink)
-		return queryOutcome{res: res, rep: rep, planHit: planHit}, err
+		return s.executeOnce(ctx, p, sink)
 	}
 	var (
-		res     *core.Results
-		rep     *core.Report
-		planHit bool
-		shared  bool
-		err     error
+		out queryOutcome
+		err error
 	)
 	// A leader that dies of its own context (canceled client, tighter
 	// deadline) — or a streaming leader whose client stopped reading
@@ -740,10 +739,10 @@ func (s *Server) runQuery(ctx context.Context, p *preparedQuery, sink core.Resul
 	// retry wave elects exactly one new leader instead of stampeding
 	// admission (or inheriting a 500 for a query that would succeed).
 	for attempt := 0; ; attempt++ {
-		res, rep, planHit, shared, err = s.flight.do(ctx, p.resKey, func() (*core.Results, *core.Report, bool, error) {
+		out, err = shareExecution(ctx, s.flight, p.resKey, func() (queryOutcome, error) {
 			return s.executeOnce(ctx, p, sink)
 		})
-		if shared && err != nil && ctx.Err() == nil &&
+		if out.shared && err != nil && ctx.Err() == nil &&
 			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
 				errors.Is(err, errStreamWrite)) {
 			if attempt < 4 {
@@ -756,13 +755,13 @@ func (s *Server) runQuery(ctx context.Context, p *preparedQuery, sink core.Resul
 		}
 		break
 	}
-	if shared {
+	if out.shared {
 		s.reg.Counter("server.singleflight.shared").Inc()
 		tr.Annotate("single_flight", "follower")
 	} else {
 		tr.Annotate("single_flight", "leader")
 	}
-	return queryOutcome{res: res, rep: rep, planHit: planHit, shared: shared}, err
+	return out, err
 }
 
 // errLeadersGone reports that every single-flight leader a follower piggy-
@@ -776,7 +775,7 @@ var errLeadersGone = errors.New("server: shared execution repeatedly canceled by
 // hits and single-flight followers never reach this function, which is what
 // makes the shedder's "cached reads survive overload" policy structural:
 // only work that must actually occupy a worker can be shed.
-func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, sink core.ResultSink) (*core.Results, *core.Report, bool, error) {
+func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, sink core.ResultSink) (queryOutcome, error) {
 	tr := obs.From(ctx)
 	kind := resilience.KindCold
 	if sink != nil {
@@ -793,7 +792,7 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, sink core.Re
 			p.state.shed.Add(1)
 		}
 		tr.Event("admission.shed", v.Reason)
-		return nil, nil, false, &ShedError{Reason: v.Reason, RetryAfter: v.RetryAfter}
+		return queryOutcome{}, &ShedError{Reason: v.Reason, RetryAfter: v.RetryAfter}
 	}
 
 	var admT0 time.Time
@@ -801,7 +800,7 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, sink core.Re
 		admT0 = time.Now()
 	}
 	if err := s.adm.acquire(ctx, flowKey{tenant: p.tenant, class: p.class}, p.weight); err != nil {
-		return nil, nil, false, err
+		return queryOutcome{}, err
 	}
 	defer s.adm.release()
 	if tr != nil {
@@ -810,7 +809,7 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, sink core.Re
 
 	plan, hit, err := s.cache.GetOrCompileKeyed(p.planKey, p.prog.Graph(), p.opts)
 	if err != nil {
-		return nil, nil, false, err
+		return queryOutcome{}, err
 	}
 	if hit {
 		s.reg.Counter("server.plancache.hits").Inc()
@@ -826,7 +825,7 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, sink core.Re
 		s.tenants.shedder.Observe(time.Since(execT0))
 	}
 	if err != nil {
-		return nil, nil, hit, err
+		return queryOutcome{planHit: hit}, err
 	}
 	// Publish only when the version vector of the *touched* engines is still
 	// the one the key was built from: a touched store mutated mid-execution
@@ -837,9 +836,10 @@ func (s *Server) executeOnce(ctx context.Context, p *preparedQuery, sink core.Re
 	// gets it — one response computed over moving data is the same contract
 	// a non-caching server gives.
 	if s.results != nil && s.rt.VersionVector(p.touches) == p.vv {
-		s.results.put(p.resKey, pruneToSinks(res), rep, p.tenant)
+		pruned := pruneToSinks(res)
+		s.results.Put(p.resKey, resultEntry{res: pruned, rep: rep}, resultCost(pruned), p.tenant)
 	}
-	return res, rep, hit, nil
+	return queryOutcome{res: res, rep: rep, planHit: hit}, nil
 }
 
 // pruneToSinks drops intermediate node values before caching: responses
@@ -1186,14 +1186,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_, _, size := s.cache.Stats()
 	s.reg.Gauge("server.plancache.size").Set(float64(size))
 	if s.results != nil {
-		s.reg.Gauge("server.resultcache.size").Set(float64(s.results.size()))
-		bytes, bypassed := s.results.bytes()
-		s.reg.Gauge("server.resultcache.bytes").Set(float64(bytes))
-		s.reg.Gauge("server.resultcache.bypassed").Set(float64(bypassed))
+		rs := s.results.Stats()
+		s.reg.Gauge("server.resultcache.size").Set(float64(rs.Entries))
+		s.reg.Gauge("server.resultcache.bytes").Set(float64(rs.Cost))
+		s.reg.Gauge("server.resultcache.bypassed").Set(float64(rs.Bypassed))
 	}
 	if sp := s.rt.SubplanCacheStats(); sp.Enabled {
 		s.reg.Gauge("core.subplan.entries").Set(float64(sp.Entries))
-		s.reg.Gauge("core.subplan.bytes").Set(float64(sp.Bytes))
+		s.reg.Gauge("core.subplan.bytes").Set(float64(sp.Cost))
 		s.reg.Gauge("core.subplan.evictions").Set(float64(sp.Evictions))
 	}
 	if fb := s.rt.FeedbackStats(); fb.Enabled {
@@ -1239,18 +1239,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	hits, misses, size := s.cache.Stats()
 	pSpawned, pInlined := partition.Shared().Stats()
 	_, _, traceTotal := s.traces.Snapshot()
-	resultSize := 0
-	var resultBytes, resultBypassed int64
+	var rs lru.Stats
+	resultOwners := map[string]int64{}
 	if s.results != nil {
-		resultSize = s.results.size()
-		resultBytes, resultBypassed = s.results.bytes()
+		rs = s.results.Stats()
+		resultOwners = s.results.OwnerCosts()
 	}
 	spStats := s.rt.SubplanCacheStats()
 	fbStats := s.rt.FeedbackStats()
-	resultOwners := map[string]int64{}
-	if s.results != nil {
-		resultOwners = s.results.ownerBytes()
-	}
 	subplanOwners := s.rt.SubplanOwnerBytes()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"requests":        s.reg.Counter("server.requests").Value(),
@@ -1261,27 +1257,22 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"plan_cache_hits": hits,
 		"plan_cache_miss": misses,
 		"plan_cache_size": size,
-		// Result cache + single-flight (the serving accelerations of PR 2).
-		"result_cache_enabled":  s.results != nil,
-		"result_cache_hits":     s.reg.Counter("server.resultcache.hits").Value(),
-		"result_cache_miss":     s.reg.Counter("server.resultcache.misses").Value(),
-		"result_cache_size":     resultSize,
-		"result_cache_bytes":    resultBytes,
-		"result_cache_bypassed": resultBypassed,
-		"result_cache_max_bytes": func() int64 {
-			if s.results == nil {
-				return 0
-			}
-			return s.cfg.ResultCacheBytes
-		}(),
-		"ingests": s.reg.Counter("server.ingests").Value(),
+		// Result cache + single-flight (the whole-request memo tier).
+		"result_cache_enabled":   s.results != nil,
+		"result_cache_hits":      s.reg.Counter("server.resultcache.hits").Value(),
+		"result_cache_miss":      s.reg.Counter("server.resultcache.misses").Value(),
+		"result_cache_size":      rs.Entries,
+		"result_cache_bytes":     rs.Cost,
+		"result_cache_bypassed":  rs.Bypassed,
+		"result_cache_max_bytes": rs.MaxCost,
+		"ingests":                s.reg.Counter("server.ingests").Value(),
 		// Subplan cache: memoized intermediates shared across near-identical
-		// plans, plus subtree-level single-flight (this PR's tier between the
-		// plan cache and the result cache).
+		// plans, plus subtree-level single-flight (the tier between the plan
+		// cache and the result cache, on the same substrate).
 		"subplan_cache_enabled":     spStats.Enabled,
 		"subplan_cache_entries":     spStats.Entries,
-		"subplan_cache_bytes":       spStats.Bytes,
-		"subplan_cache_max_bytes":   spStats.MaxBytes,
+		"subplan_cache_bytes":       spStats.Cost,
+		"subplan_cache_max_bytes":   spStats.MaxCost,
 		"subplan_cache_evictions":   spStats.Evictions,
 		"subplan_cache_hits":        s.reg.Counter("core.subplan.hits").Value(),
 		"subplan_cache_miss":        s.reg.Counter("core.subplan.misses").Value(),

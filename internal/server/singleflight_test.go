@@ -13,12 +13,13 @@ import (
 	"polystorepp/internal/compiler"
 	"polystorepp/internal/core"
 	"polystorepp/internal/hw"
+	"polystorepp/internal/subplan"
 )
 
 // TestFlightGroupDedup makes the leader block until followers have joined,
 // then checks every caller observed the leader's single execution.
 func TestFlightGroupDedup(t *testing.T) {
-	g := newFlightGroup()
+	g := subplan.NewFlight[queryOutcome]()
 	const followers = 8
 	leaderEntered := make(chan struct{})
 	releaseLeader := make(chan struct{})
@@ -35,24 +36,24 @@ func TestFlightGroupDedup(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, r, _, shared, err := g.do(context.Background(), "k", func() (*core.Results, *core.Report, bool, error) {
+		out, err := shareExecution(context.Background(), g, "k", func() (queryOutcome, error) {
 			close(leaderEntered)
 			<-releaseLeader
 			executions++
-			return &core.Results{}, rep, true, nil
+			return queryOutcome{res: &core.Results{}, rep: rep, planHit: true}, nil
 		})
-		results[0].rep, results[0].shared, results[0].err = r, shared, err
+		results[0].rep, results[0].shared, results[0].err = out.rep, out.shared, err
 	}()
 	<-leaderEntered
 	for i := 1; i <= followers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, r, _, shared, err := g.do(context.Background(), "k", func() (*core.Results, *core.Report, bool, error) {
+			out, err := shareExecution(context.Background(), g, "k", func() (queryOutcome, error) {
 				t.Error("follower executed fn")
-				return nil, nil, false, nil
+				return queryOutcome{}, nil
 			})
-			results[i].rep, results[i].shared, results[i].err = r, shared, err
+			results[i].rep, results[i].shared, results[i].err = out.rep, out.shared, err
 		}(i)
 	}
 	// Followers must be parked on the call before the leader finishes. There
@@ -86,16 +87,16 @@ func TestFlightGroupDedup(t *testing.T) {
 // TestFlightGroupFollowerDeadline checks a follower with an expired context
 // gives up with its own error while the leader completes for others.
 func TestFlightGroupFollowerDeadline(t *testing.T) {
-	g := newFlightGroup()
+	g := subplan.NewFlight[queryOutcome]()
 	leaderEntered := make(chan struct{})
 	releaseLeader := make(chan struct{})
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, _, err := g.do(context.Background(), "k", func() (*core.Results, *core.Report, bool, error) {
+		_, err := shareExecution(context.Background(), g, "k", func() (queryOutcome, error) {
 			close(leaderEntered)
 			<-releaseLeader
-			return &core.Results{}, &core.Report{}, false, nil
+			return queryOutcome{res: &core.Results{}, rep: &core.Report{}}, nil
 		})
 		done <- err
 	}()
@@ -103,12 +104,12 @@ func TestFlightGroupFollowerDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, _, shared, err := g.do(ctx, "k", func() (*core.Results, *core.Report, bool, error) {
+	out, err := shareExecution(ctx, g, "k", func() (queryOutcome, error) {
 		t.Error("canceled follower executed fn")
-		return nil, nil, false, nil
+		return queryOutcome{}, nil
 	})
-	if !shared || !errors.Is(err, context.Canceled) {
-		t.Fatalf("follower: shared=%v err=%v, want shared canceled", shared, err)
+	if !out.shared || !errors.Is(err, context.Canceled) {
+		t.Fatalf("follower: shared=%v err=%v, want shared canceled", out.shared, err)
 	}
 
 	close(releaseLeader)
@@ -121,14 +122,14 @@ func TestFlightGroupFollowerDeadline(t *testing.T) {
 // key: waiting followers get errFlightPanic, and the next request for the
 // key runs fresh.
 func TestFlightGroupLeaderPanic(t *testing.T) {
-	g := newFlightGroup()
+	g := subplan.NewFlight[queryOutcome]()
 	leaderEntered := make(chan struct{})
 	releaseLeader := make(chan struct{})
 
 	followerErr := make(chan error, 1)
 	go func() {
 		defer func() { _ = recover() }() // play net/http's role
-		_, _, _, _, _ = g.do(context.Background(), "k", func() (*core.Results, *core.Report, bool, error) {
+		_, _ = shareExecution(context.Background(), g, "k", func() (queryOutcome, error) {
 			close(leaderEntered)
 			<-releaseLeader
 			panic("adapter bug")
@@ -136,11 +137,11 @@ func TestFlightGroupLeaderPanic(t *testing.T) {
 	}()
 	<-leaderEntered
 	go func() {
-		_, _, _, shared, err := g.do(context.Background(), "k", func() (*core.Results, *core.Report, bool, error) {
+		out, err := shareExecution(context.Background(), g, "k", func() (queryOutcome, error) {
 			t.Error("follower executed fn")
-			return nil, nil, false, nil
+			return queryOutcome{}, nil
 		})
-		if !shared {
+		if !out.shared {
 			t.Error("follower was not shared")
 		}
 		followerErr <- err
@@ -152,11 +153,11 @@ func TestFlightGroupLeaderPanic(t *testing.T) {
 	}
 
 	// The key must be usable again.
-	_, _, _, shared, err := g.do(context.Background(), "k", func() (*core.Results, *core.Report, bool, error) {
-		return &core.Results{}, &core.Report{}, false, nil
+	out, err := shareExecution(context.Background(), g, "k", func() (queryOutcome, error) {
+		return queryOutcome{res: &core.Results{}, rep: &core.Report{}}, nil
 	})
-	if err != nil || shared {
-		t.Fatalf("post-panic call: shared=%v err=%v", shared, err)
+	if err != nil || out.shared {
+		t.Fatalf("post-panic call: shared=%v err=%v", out.shared, err)
 	}
 }
 
@@ -178,15 +179,15 @@ func TestLeadersGoneMapsTo503(t *testing.T) {
 // TestFlightGroupSequentialCallersRunSeparately checks dedup only spans
 // overlapping requests: once a call finishes, the next caller leads its own.
 func TestFlightGroupSequentialCallersRunSeparately(t *testing.T) {
-	g := newFlightGroup()
+	g := subplan.NewFlight[queryOutcome]()
 	runs := 0
 	for i := 0; i < 3; i++ {
-		_, _, _, shared, err := g.do(context.Background(), "k", func() (*core.Results, *core.Report, bool, error) {
+		out, err := shareExecution(context.Background(), g, "k", func() (queryOutcome, error) {
 			runs++
-			return &core.Results{}, &core.Report{}, false, nil
+			return queryOutcome{res: &core.Results{}, rep: &core.Report{}}, nil
 		})
-		if err != nil || shared {
-			t.Fatalf("call %d: shared=%v err=%v", i, shared, err)
+		if err != nil || out.shared {
+			t.Fatalf("call %d: shared=%v err=%v", i, out.shared, err)
 		}
 	}
 	if runs != 3 {

@@ -18,12 +18,14 @@
 // line is gone, so failures travel in-band as the trailing error record;
 // clients must treat a stream without a summary record as failed.
 //
-// The streaming path shares every serving acceleration with /query:
-// admission control (the stream holds a worker slot only while executing),
-// the result cache (hits replay cached batches; misses tee into the cache
-// through the same byte-bounded admission), and single-flight (a streaming
-// leader streams live; followers — streaming or buffered — get the complete
-// buffered outcome, which a streaming follower then replays).
+// The streaming path shares every serving acceleration with /query, the
+// memo tier included (memo.go): admission control (the stream holds a
+// worker slot only while executing), the result cache (hits replay cached
+// batches; misses tee into the cache through the same byte-bounded,
+// tenant-charged admission), and single-flight (a streaming leader streams
+// live and releases its lease with the complete buffered outcome;
+// followers — streaming or buffered — receive that outcome, which a
+// streaming follower then replays).
 package server
 
 import (

@@ -69,10 +69,10 @@ func TestPublishGuardIgnoresUnrelatedWrites(t *testing.T) {
 		p.vv = s.rt.VersionVector(p.touches)
 		p.resKey = p.planKey + "|" + p.vv
 
-		if _, _, _, err := s.executeOnce(context.Background(), p, nil); err != nil {
+		if _, err := s.executeOnce(context.Background(), p, nil); err != nil {
 			t.Fatal(err)
 		}
-		_, _, published := s.results.get(p.resKey)
+		_, published := s.results.Get(p.resKey)
 		return published
 	}
 

@@ -1,8 +1,8 @@
 // Package subplan implements the middleware's content-addressed subplan
 // cache: memoized intermediate batches keyed on (subtree fingerprint,
-// version vector of the stores the subtree touches), plus the per-key
-// single-flight coordinator that lets concurrently in-flight plans sharing
-// a hot subtree execute it once.
+// version vector of the stores the subtree touches), plus Flight, the
+// keyed single-flight that lets concurrently in-flight plans sharing a hot
+// subtree execute it once (and that the server's whole-request tier shares).
 //
 // This is the middle tier of the serving stack's three caches. The plan
 // cache (compiler.PlanCache) memoizes compilation; the result cache
@@ -14,12 +14,12 @@
 // (ir.Graph.SubtreeFingerprints), so the sharing works across distinct
 // plans, and version-vectored, so invalidation is as surgical as the
 // result cache's: a write to a store the subtree never reads changes
-// nothing.
+// nothing. Both memo tiers sit on the same substrate: the result cache and
+// this one are each an lru.TenantCostCache (tenant-charged, byte-bounded,
+// locked once per operation) with a Flight in front.
 package subplan
 
 import (
-	"sync"
-
 	"polystorepp/internal/adapter"
 	"polystorepp/internal/cast"
 	"polystorepp/internal/lru"
@@ -53,6 +53,10 @@ type Entry struct {
 	Bytes  int64      // Output payload size (lru cost accounting)
 }
 
+// Cost is what the entry is charged in the cache: its payload plus
+// bookkeeping overhead.
+func (e *Entry) Cost() int64 { return e.Bytes + entryOverheadBytes }
+
 // entryOverheadBytes approximates the per-entry bookkeeping cost (map and
 // list cells, cost slice) charged on top of the payload.
 const entryOverheadBytes = 512
@@ -71,76 +75,14 @@ func maxEntriesFor(maxBytes int64) int {
 	return n
 }
 
-// Cache is a byte-bounded, mutex-guarded LRU of subplan entries. Entries
-// are charged to the tenant whose execution published them: while more than
-// one tenant holds entries, each tenant's bytes are capped at a share of
-// the budget, so one tenant's working set cannot evict everyone else's
-// memoized intermediates (see lru.TenantCostCache).
-type Cache struct {
-	mu       sync.Mutex
-	entries  *lru.TenantCostCache[*Entry]
-	maxBytes int64
-}
-
-// NewCache returns a cache bounded to maxBytes of memoized intermediates
-// (plus per-entry overhead), with the default per-tenant share.
-func NewCache(maxBytes int64) *Cache { return NewCacheShared(maxBytes, 0) }
-
-// NewCacheShared is NewCache with an explicit per-tenant cost share
-// (fraction of maxBytes one tenant may hold while others hold entries);
-// share <= 0 selects the default, >= 1 disables per-tenant capping.
-func NewCacheShared(maxBytes int64, share float64) *Cache {
-	return &Cache{
-		entries:  lru.NewTenantCost[*Entry](maxEntriesFor(maxBytes), maxBytes, share),
-		maxBytes: maxBytes,
-	}
-}
-
-// Get returns the entry under key, marking it most recently used.
-func (c *Cache) Get(key string) (*Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.entries.Get(key)
-}
-
-// Put admits e under key, charging its payload plus overhead to owner (the
-// publishing tenant). It reports whether the key is now cached: false means
-// the entry was oversized and bypassed. A racing fill keeps the incumbent
-// (equivalent value).
-func (c *Cache) Put(key string, e *Entry, owner string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries.Put(key, e, e.Bytes+entryOverheadBytes, owner)
-	return ok
-}
-
-// Stats is a point-in-time structural snapshot of the cache.
-type Stats struct {
-	Entries   int
-	Bytes     int64
-	MaxBytes  int64
-	Evictions int64
-	Owners    int
-}
-
-// Stats snapshots entry count, charged bytes, and lifetime evictions.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{
-		Entries:   c.entries.Len(),
-		Bytes:     c.entries.Cost(),
-		MaxBytes:  c.maxBytes,
-		Evictions: c.entries.Evictions(),
-		Owners:    c.entries.Owners(),
-	}
-}
-
-// OwnerBytes snapshots the bytes currently charged to each tenant.
-func (c *Cache) OwnerBytes() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := make(map[string]int64, c.entries.Owners())
-	c.entries.EachOwner(func(owner string, cost int64) { m[owner] = cost })
-	return m
+// NewCache returns the subplan tier's cache: the shared tenant-charged
+// substrate (lru.TenantCostCache) bounded to maxBytes of memoized
+// intermediates plus per-entry overhead. Entries are charged to the tenant
+// whose execution published them (Put with Entry.Cost): while more than one
+// tenant holds entries, each tenant's bytes are capped at share of the
+// budget (share <= 0 selects the default, >= 1 disables per-tenant
+// capping), so one tenant's working set cannot evict everyone else's
+// memoized intermediates.
+func NewCache(maxBytes int64, share float64) *lru.TenantCostCache[*Entry] {
+	return lru.NewTenantCost[*Entry](maxEntriesFor(maxBytes), maxBytes, share)
 }

@@ -1,6 +1,7 @@
 package subplan
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -20,9 +21,9 @@ func testEntry(t *testing.T, rows int) *Entry {
 }
 
 func TestCachePutGet(t *testing.T) {
-	c := NewCache(1 << 20)
+	c := NewCache(1<<20, 0)
 	e := testEntry(t, 10)
-	if !c.Put("k", e, "anon") {
+	if _, ok := c.Put("k", e, e.Cost(), "anon"); !ok {
 		t.Fatal("put bypassed a small entry")
 	}
 	got, ok := c.Get("k")
@@ -30,15 +31,15 @@ func TestCachePutGet(t *testing.T) {
 		t.Fatalf("get = %v, %v", got, ok)
 	}
 	s := c.Stats()
-	if s.Entries != 1 || s.Bytes != e.Bytes+entryOverheadBytes || s.MaxBytes != 1<<20 {
+	if s.Entries != 1 || s.Cost != e.Bytes+entryOverheadBytes || s.MaxCost != 1<<20 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
 
 func TestCacheOversizedBypass(t *testing.T) {
-	c := NewCache(256) // smaller than any real batch + overhead
+	c := NewCache(256, 0) // smaller than any real batch + overhead
 	e := testEntry(t, 100)
-	if c.Put("k", e, "anon") {
+	if _, ok := c.Put("k", e, e.Cost(), "anon"); ok {
 		t.Fatal("oversized entry admitted")
 	}
 	if _, ok := c.Get("k"); ok {
@@ -48,17 +49,17 @@ func TestCacheOversizedBypass(t *testing.T) {
 
 func TestCacheByteBoundEvicts(t *testing.T) {
 	e := testEntry(t, 100)
-	per := e.Bytes + entryOverheadBytes
-	c := NewCache(3 * per)
+	per := e.Cost()
+	c := NewCache(3*per, 0)
 	keys := []string{"a", "b", "c", "d", "e"}
 	for _, k := range keys {
-		if !c.Put(k, testEntry(t, 100), "anon") {
+		if _, ok := c.Put(k, testEntry(t, 100), per, "anon"); !ok {
 			t.Fatalf("put %s bypassed", k)
 		}
 	}
 	s := c.Stats()
-	if s.Bytes > 3*per {
-		t.Fatalf("bytes %d exceed bound %d", s.Bytes, 3*per)
+	if s.Cost > 3*per {
+		t.Fatalf("bytes %d exceed bound %d", s.Cost, 3*per)
 	}
 	if s.Evictions == 0 {
 		t.Fatal("no evictions recorded")
@@ -72,11 +73,11 @@ func TestCacheByteBoundEvicts(t *testing.T) {
 }
 
 func TestCacheIncumbentWins(t *testing.T) {
-	c := NewCache(1 << 20)
+	c := NewCache(1<<20, 0)
 	first := testEntry(t, 5)
 	second := testEntry(t, 5)
-	c.Put("k", first, "anon")
-	c.Put("k", second, "anon")
+	c.Put("k", first, first.Cost(), "anon")
+	c.Put("k", second, second.Cost(), "anon")
 	got, _ := c.Get("k")
 	if got != first {
 		t.Fatal("racing fill displaced the incumbent entry")
@@ -84,36 +85,37 @@ func TestCacheIncumbentWins(t *testing.T) {
 }
 
 func TestFlightLeaderFollower(t *testing.T) {
-	f := NewFlight()
-	leader, done := f.Acquire("k")
-	if !leader || done != nil {
-		t.Fatalf("first acquire: leader=%v done=%v", leader, done)
+	f := NewFlight[int]()
+	lease, leader := f.Acquire("k")
+	if !leader || lease == nil {
+		t.Fatalf("first acquire: leader=%v lease=%v", leader, lease)
 	}
-	l2, d2 := f.Acquire("k")
-	if l2 || d2 == nil {
-		t.Fatal("second acquire became leader")
+	l2, leader2 := f.Acquire("k")
+	if leader2 || l2 != lease {
+		t.Fatal("second acquire became leader or got another lease")
 	}
-	select {
-	case <-d2:
-		t.Fatal("done closed before release")
-	default:
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := l2.Wait(canceled); err != context.Canceled {
+		t.Fatalf("wait before release = %v, want the follower's own context error", err)
 	}
-	f.Release("k")
-	<-d2 // must be closed now
+	f.Release("k", 7, nil)
+	if v, err := l2.Wait(context.Background()); v != 7 || err != nil {
+		t.Fatalf("follower saw (%d, %v), want the leader's (7, nil)", v, err)
+	}
 
 	// After release the key is free: a new leader can be elected.
-	l3, _ := f.Acquire("k")
-	if !l3 {
+	if _, l3 := f.Acquire("k"); !l3 {
 		t.Fatal("key not released")
 	}
-	f.Release("k")
-	f.Release("k") // unheld release is a no-op
+	f.Release("k", 0, nil)
+	f.Release("k", 0, nil) // unheld release is a no-op
 }
 
 // TestFlightConcurrent hammers one key from many goroutines under -race:
 // exactly one leader per generation, every follower eventually wakes.
 func TestFlightConcurrent(t *testing.T) {
-	f := NewFlight()
+	f := NewFlight[struct{}]()
 	const n = 32
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -122,15 +124,17 @@ func TestFlightConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			leader, done := f.Acquire("hot")
+			lease, leader := f.Acquire("hot")
 			if leader {
 				mu.Lock()
 				leaders++
 				mu.Unlock()
-				f.Release("hot")
+				f.Release("hot", struct{}{}, nil)
 				return
 			}
-			<-done
+			if _, err := lease.Wait(context.Background()); err != nil {
+				t.Error(err)
+			}
 		}()
 	}
 	wg.Wait()
